@@ -44,7 +44,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 WORK = os.path.join(ROOT, ".perfbench_work")
-CHILD_SETUPS = 2  # set-ups in fresh processes, besides this process's own
+CHILD_SETUPS = 4  # set-ups in fresh processes, besides this process's own
 
 
 @dataclass(frozen=True)
