@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import statistics
 import time
+import types
 
 
 class Span:
@@ -81,6 +82,21 @@ class Tracer:
 
     def durations(self, name: str) -> list:
         return [s.end - s.start for s in self.spans if s.name == name]
+
+
+def wrapper_cost(calls: int = 20000) -> float:
+    """Seconds one traced call adds to a plain call of a no-op function."""
+    holder = types.SimpleNamespace(noop=lambda: None)
+    plain = time.perf_counter()
+    for _ in range(calls):
+        holder.noop()
+    plain = time.perf_counter() - plain
+    Tracer().wrap(holder, "noop", "bench.noop")
+    traced = time.perf_counter()
+    for _ in range(calls):
+        holder.noop()
+    traced = time.perf_counter() - traced
+    return max(traced - plain, 0.0) / calls
 
 
 def self_times(spans) -> list:

@@ -262,6 +262,9 @@ def traced(runs: Runs, rfdna, workload: Workload, seconds: float) -> tuple:
     metrics = bench_layers.metrics(tracer, len(wrapped))
     metrics["trace.overhead_pct"] = 100.0 * (statistics.median(wrapped)
                                              / statistics.median(plain) - 1.0)
+    # the measured overhead is within host noise; this is the tracer's own cost
+    metrics["trace.overhead_est_pct"] = (100.0 * metrics["trace.spans"]
+                                         * bench_trace.wrapper_cost() / statistics.median(plain))
     return metrics, {"plain_walls": plain, "traced_walls": wrapped,
                      "observer_errors": tracer.counters.get("observer_errors", 0)}
 
